@@ -14,6 +14,7 @@
 //! in their own component EventSets.
 
 use crate::error::PapiError;
+use simcpu::pmu::COUNTER_MASK;
 use simcpu::types::CpuId;
 use simos::perf::{EventFd, PerfAttr, PmuKind, Target};
 use simos::task::Pid;
@@ -77,6 +78,22 @@ pub struct NativeRef {
     pub pmu_first_cpu: CpuId,
     /// The open fd, once the set has been started at least once.
     pub fd: Option<EventFd>,
+    /// 48-bit unwrap state: the raw counter value observed at the last
+    /// start/reset (core-PMU events only). Counters may begin anywhere in
+    /// the 48-bit range and wrap mid-run; [`NativeRef::since_base`]
+    /// recovers the exact delta regardless.
+    pub wrap_base: Option<u64>,
+}
+
+impl NativeRef {
+    /// The count since the last start/reset: `raw` unwrapped modulo 2^48
+    /// against the wrap base when there is one, `raw` itself otherwise.
+    pub fn since_base(&self, raw: u64) -> u64 {
+        match self.wrap_base {
+            Some(base) => raw.wrapping_sub(base) & COUNTER_MASK,
+            None => raw,
+        }
+    }
 }
 
 /// A user-visible entry: either a native event or a derived preset.
@@ -255,6 +272,7 @@ mod tests {
                 pmu_kind: PmuKind::CoreHw,
                 pmu_first_cpu: CpuId(0),
                 fd: None,
+                wrap_base: None,
             });
         }
         assert_eq!(es.pmu_types(), vec![7, 4, 5]);
@@ -269,6 +287,7 @@ mod tests {
             pmu_kind: PmuKind::CoreHw,
             pmu_first_cpu: CpuId(0),
             fd: None,
+            wrap_base: None,
         };
         assert_eq!(es.target_for(&n), Err(PapiError::NotAttached));
     }
@@ -283,6 +302,7 @@ mod tests {
             pmu_kind: PmuKind::Rapl,
             pmu_first_cpu: CpuId(0),
             fd: None,
+            wrap_base: None,
         };
         assert_eq!(es.target_for(&n), Ok(Target::Cpu(CpuId(0))));
         let hw = NativeRef {

@@ -46,9 +46,8 @@ pub use sysdetect::{DetectMethod, DetectionReport};
 use eventset::{plan_groups, Entry, NativeRef};
 use pfmlib::{Pfm, PfmOptions};
 use simcpu::phase::Phase;
-use simcpu::pmu::COUNTER_MASK;
 use simcpu::types::{CpuId, Nanos};
-use simos::kernel::KernelHandle;
+use simos::kernel::{Kernel, KernelHandle};
 use simos::perf::{EventFd, PerfError, PmuKind, ReadValue};
 use simos::task::{HookId, Op, Pid};
 use simtrace::{EventKind, TraceSink, Track};
@@ -120,15 +119,12 @@ pub enum ReadQuality {
 /// Labeled values plus per-entry quality.
 pub type QualifiedValues = Vec<(String, u64, ReadQuality)>;
 
-/// Per-fd counter snapshots plus the group leaders whose reads kept
-/// failing past the transient-retry budget.
-type GroupReads = (HashMap<EventFd, ReadValue>, Vec<(EventFd, PerfError)>);
-
 /// Bounded retry for transient kernel errors (EINTR/EBUSY injected by
-/// the fault layer). Deterministic: a fixed attempt budget, no clocks.
-/// Every failed attempt has already been charged to the kernel's syscall
+/// the fault layer): a call is retried this many times after its first
+/// attempt. Deterministic: a fixed attempt budget, no clocks. Every
+/// failed attempt has already been charged to the kernel's syscall
 /// ledger, so retry cost shows up in [`Papi::syscall_stats`].
-const TRANSIENT_RETRY_BUDGET: u32 = 8;
+pub const TRANSIENT_RETRY_BUDGET: u32 = 8;
 
 fn retry_transient<T>(mut f: impl FnMut() -> Result<T, PerfError>) -> Result<T, PerfError> {
     let mut attempts = 0;
@@ -143,35 +139,30 @@ fn retry_transient<T>(mut f: impl FnMut() -> Result<T, PerfError>) -> Result<T, 
 /// Sum one entry's member counters, 48-bit-unwrapping and loss-scaling
 /// each, and report the worst member quality.
 ///
-/// * A member absent from `by_fd` (its group read failed persistently)
-///   is `Lost` and contributes nothing.
+/// * `rows` holds this read's group rows, one per member of every group
+///   whose read succeeded; a member is found by a linear scan on its fd
+///   (a group has a handful of members). A member with no row — its
+///   group read failed past the retry budget — is `Lost` and contributes
+///   nothing.
+/// * The raw count is taken relative to the member's wrap base when it
+///   has one (core-PMU events, baselined at start/reset):
+///   `(raw − base) & COUNTER_MASK`.
 /// * `time_running == 0` with `time_matched > 0` means the event had
 ///   countable time but never held a counter: `Lost`.
 /// * `time_running < time_matched` means it held a counter part of that
 ///   time: scale the count over the gap, `Scaled`.
 /// * Time outside `time_matched` (wrong core type for this PMU) is the
 ///   expected hybrid gap and is neither scaled over nor penalized.
-fn entry_value(
-    es: &EventSet,
-    entry: &Entry,
-    by_fd: &HashMap<EventFd, ReadValue>,
-    wrap_base: &HashMap<EventFd, u64>,
-) -> Result<(u64, ReadQuality), PapiError> {
+fn entry_value(natives: &[NativeRef], entry: &Entry, rows: &[ReadValue]) -> (u64, ReadQuality) {
     let mut total = 0u64;
     let mut quality = ReadQuality::Ok;
     for &ni in &entry.native_indices {
-        let fd = es.natives[ni]
-            .fd
-            .ok_or(PapiError::State("event not opened"))?;
-        let Some(rv) = by_fd.get(&fd) else {
+        let native = &natives[ni];
+        let Some(rv) = rows.iter().find(|rv| native.fd == Some(rv.fd)) else {
             quality = quality.max(ReadQuality::Lost);
             continue;
         };
-        let raw = rv.value;
-        let unwrapped = match wrap_base.get(&fd) {
-            Some(base) => raw.wrapping_sub(*base) & COUNTER_MASK,
-            None => raw,
-        };
+        let unwrapped = native.since_base(rv.value);
         if rv.time_running == 0 {
             if rv.time_matched > 0 {
                 quality = quality.max(ReadQuality::Lost);
@@ -185,7 +176,39 @@ fn entry_value(
             total += unwrapped;
         }
     }
-    Ok((total, quality))
+    (total, quality)
+}
+
+/// Re-baseline the 48-bit unwrap state of every opened core-PMU native:
+/// a freshly reset hardware counter shows an arbitrary point in its
+/// 48-bit range, not zero. Later reads subtract this modulo 2^48.
+fn rebase(k: &mut Kernel, natives: &mut [NativeRef]) -> Result<(), PapiError> {
+    for n in natives.iter_mut().filter(|n| n.pmu_kind == PmuKind::CoreHw) {
+        if let Some(fd) = n.fd {
+            n.wrap_base = Some(retry_transient(|| k.read_event(fd))?.value);
+        }
+    }
+    Ok(())
+}
+
+/// EventSet `id` in the library's table. Free functions over the table
+/// (rather than methods on [`Papi`]) so callers can borrow the EventSet
+/// and the library's other fields at the same time.
+fn slot(eventsets: &[Option<EventSet>], id: EventSetId) -> Result<&EventSet, PapiError> {
+    eventsets
+        .get(id.0)
+        .and_then(Option::as_ref)
+        .ok_or(PapiError::NoSuchEventSet)
+}
+
+fn slot_mut(
+    eventsets: &mut [Option<EventSet>],
+    id: EventSetId,
+) -> Result<&mut EventSet, PapiError> {
+    eventsets
+        .get_mut(id.0)
+        .and_then(Option::as_mut)
+        .ok_or(PapiError::NoSuchEventSet)
 }
 
 /// The initialized library.
@@ -200,11 +223,9 @@ pub struct Papi {
     preset_defs: Vec<preset_table::PresetDef>,
     /// High-water marks of consumed overflow records per (eventset, entry).
     overflow_seen: HashMap<(usize, usize), usize>,
-    /// 48-bit unwrap state: the raw counter value observed at the last
-    /// start/reset, per core-PMU fd. Counters may begin anywhere in the
-    /// 48-bit range (and wrap mid-run); `(raw − base) & COUNTER_MASK`
-    /// recovers the exact delta regardless.
-    wrap_base: HashMap<EventFd, u64>,
+    /// Group-read rows of the read in progress, reused across reads so
+    /// the read path allocates nothing once it has grown.
+    rows: Vec<ReadValue>,
     /// Flight recorder for the library's own start/stop/read activity,
     /// inheriting the kernel's trace configuration.
     trace: TraceSink,
@@ -253,7 +274,7 @@ impl Papi {
             preset_defs: preset_table::parse_preset_csv(preset_table::BUILTIN_CSV)
                 .expect("built-in preset table is valid"),
             overflow_seen: HashMap::new(),
-            wrap_base: HashMap::new(),
+            rows: Vec::new(),
             trace,
         })
     }
@@ -374,10 +395,9 @@ impl Papi {
         if es.state == EsState::Running {
             return Err(PapiError::State("cannot destroy a running EventSet"));
         }
-        let leaders = es.group_leaders.clone();
         {
             let mut k = self.kernel.lock();
-            for fd in leaders {
+            for &fd in &es.group_leaders {
                 let _ = k.close_event(fd);
             }
         }
@@ -484,14 +504,7 @@ impl Papi {
             }
             other => PapiError::Pfm(other),
         })?;
-        let pmu = &self.pfm.pmus()[enc.pmu_index];
-        let native = NativeRef {
-            fq_name: enc.fq_name.clone(),
-            attr: enc.attr,
-            pmu_kind: pmu.kind,
-            pmu_first_cpu: pmu.cpus.iter().next().unwrap_or(CpuId(0)),
-            fd: None,
-        };
+        let native = self.native(enc);
         self.push_entry(id, name.to_string(), vec![native])
     }
 
@@ -501,16 +514,7 @@ impl Papi {
         let natives = self
             .preset_natives(preset)?
             .into_iter()
-            .map(|enc| {
-                let pmu = &self.pfm.pmus()[enc.pmu_index];
-                NativeRef {
-                    fq_name: enc.fq_name,
-                    attr: enc.attr,
-                    pmu_kind: pmu.kind,
-                    pmu_first_cpu: pmu.cpus.iter().next().unwrap_or(CpuId(0)),
-                    fd: None,
-                }
-            })
+            .map(|enc| self.native(enc))
             .collect::<Vec<_>>();
         if natives.is_empty() {
             return Err(PapiError::PresetUnavailable(preset.papi_name().into()));
@@ -563,19 +567,7 @@ impl Papi {
             }
         }
         .map_err(|_| PapiError::PresetUnavailable(name.to_string()))?;
-        let natives: Vec<NativeRef> = encs
-            .into_iter()
-            .map(|enc| {
-                let pmu = &self.pfm.pmus()[enc.pmu_index];
-                NativeRef {
-                    fq_name: enc.fq_name,
-                    attr: enc.attr,
-                    pmu_kind: pmu.kind,
-                    pmu_first_cpu: pmu.cpus.iter().next().unwrap_or(CpuId(0)),
-                    fd: None,
-                }
-            })
-            .collect();
+        let natives: Vec<NativeRef> = encs.into_iter().map(|enc| self.native(enc)).collect();
         self.push_entry(id, def.name, natives)
     }
 
@@ -590,6 +582,19 @@ impl Papi {
             .filter(|d| d.native_for(vendor).is_some())
             .map(|d| d.name.clone())
             .collect()
+    }
+
+    /// An unopened native for an encoded event.
+    fn native(&self, enc: pfmlib::EncodedEvent) -> NativeRef {
+        let pmu = &self.pfm.pmus()[enc.pmu_index];
+        NativeRef {
+            fq_name: enc.fq_name,
+            attr: enc.attr,
+            pmu_kind: pmu.kind,
+            pmu_first_cpu: pmu.cpus.iter().next().unwrap_or(CpuId(0)),
+            fd: None,
+            wrap_base: None,
+        }
     }
 
     /// Natives implementing a preset on this machine.
@@ -710,6 +715,12 @@ impl Papi {
             .collect())
     }
 
+    /// Read-only view of an EventSet: its natives (open fds, wrap bases),
+    /// entries and group leaders.
+    pub fn eventset(&self, id: EventSetId) -> Result<&EventSet, PapiError> {
+        self.es(id)
+    }
+
     /// How many perf event groups this EventSet spans (the §V.5
     /// indirection metric: 1 on homogeneous, ≥2 on hybrid).
     pub fn num_groups(&self, id: EventSetId) -> Result<usize, PapiError> {
@@ -758,10 +769,10 @@ impl Papi {
         // rotation then time-shares the counters and reads surface as
         // scaled estimates flagged [`ReadQuality::Scaled`].
         if !self.es(id)?.multiplex {
-            let leaders = self.es(id)?.group_leaders.clone();
+            let es = self.es(id)?;
             let unfit = {
                 let k = self.kernel.lock();
-                leaders
+                es.group_leaders
                     .iter()
                     .any(|l| !k.group_schedulable(*l).unwrap_or(true))
             };
@@ -769,42 +780,24 @@ impl Papi {
                 self.reopen_multiplexed(id)?;
             }
         }
-        let es = self.es(id)?;
-        let leaders = es.group_leaders.clone();
-        let attach = es.attach;
-        let core_fds: Vec<EventFd> = es
-            .natives
-            .iter()
-            .filter(|n| n.pmu_kind == PmuKind::CoreHw)
-            .filter_map(|n| n.fd)
-            .collect();
-        let mut bases = Vec::with_capacity(core_fds.len());
+        let overhead = self.cfg.overhead_instructions;
+        let es = slot_mut(&mut self.eventsets, id)?;
         {
             let mut k = self.kernel.lock();
-            for fd in &leaders {
-                k.ioctl_reset(*fd, true)?;
-                k.ioctl_enable(*fd, true)?;
+            for &fd in &es.group_leaders {
+                k.ioctl_reset(fd, true)?;
+                k.ioctl_enable(fd, true)?;
             }
-            // Baseline the 48-bit unwrap state: a freshly reset hardware
-            // counter shows an arbitrary point in its 48-bit range, not
-            // zero. Later reads subtract this modulo 2^48.
-            for fd in core_fds {
-                let rv = retry_transient(|| k.read_event(fd))?;
-                bases.push((fd, rv.value));
-            }
+            rebase(&mut k, &mut es.natives)?;
             // In-process overhead: PAPI_start's tail executes inside the
             // measurement window.
-            if let Some(Attach::Task(pid)) = attach {
-                if self.cfg.overhead_instructions > 0 {
-                    k.inject_ops(
-                        pid,
-                        [Op::Compute(Phase::scalar(self.cfg.overhead_instructions))],
-                    );
+            if let Some(Attach::Task(pid)) = es.attach {
+                if overhead > 0 {
+                    k.inject_ops(pid, [Op::Compute(Phase::scalar(overhead))]);
                 }
             }
         }
-        self.wrap_base.extend(bases);
-        self.es_mut(id)?.state = EsState::Running;
+        es.state = EsState::Running;
         if self.trace.enabled() {
             let t = self.kernel.lock().time_ns();
             self.trace
@@ -815,18 +808,15 @@ impl Papi {
 
     /// `PAPI_stop`: returns the final values.
     pub fn stop(&mut self, id: EventSetId) -> Result<Values, PapiError> {
-        {
-            let es = self.es(id)?;
-            if es.state != EsState::Running {
-                return Err(PapiError::State("EventSet not running"));
-            }
+        if self.es(id)?.state != EsState::Running {
+            return Err(PapiError::State("EventSet not running"));
         }
         let values = self.read(id)?;
-        let leaders = self.es(id)?.group_leaders.clone();
         {
+            let es = self.es(id)?;
             let mut k = self.kernel.lock();
-            for fd in &leaders {
-                k.ioctl_disable(*fd, true)?;
+            for &fd in &es.group_leaders {
+                k.ioctl_disable(fd, true)?;
             }
         }
         self.es_mut(id)?.state = EsState::Stopped;
@@ -847,24 +837,29 @@ impl Papi {
     /// hardware counter involuntarily (multiplexing, watchdog theft) are
     /// scaled over the uncounted window; time spent on a wrong-type core
     /// is never scaled over.
+    ///
+    /// Allocates only the returned [`Values`]; [`Papi::read_into`] is the
+    /// allocation-free form.
     pub fn read(&mut self, id: EventSetId) -> Result<Values, PapiError> {
-        let (by_fd, mut failed) = self.read_groups(id)?;
-        if let Some((_, e)) = failed.pop() {
-            return Err(e.into());
-        }
-        let es = self.es(id)?;
-        let mut out = Vec::with_capacity(es.entries.len());
-        for entry in &es.entries {
-            let (total, _) = entry_value(es, entry, &by_fd, &self.wrap_base)?;
-            out.push((entry.label.clone(), total));
-        }
-        // The strict path either returned exact/scaled-free values or
-        // errored above, so quality is Ok by construction.
-        if self.trace.enabled() {
-            let t = self.kernel.lock().time_ns();
-            self.trace.record(t, EventKind::PapiRead, id.0 as u32, 0, 0);
-        }
+        let mut out = Vec::with_capacity(self.es(id)?.entries.len());
+        self.read_entries(id, true, |entry, v, _| out.push((entry.label.clone(), v)))?;
         Ok(out)
+    }
+
+    /// `PAPI_read(EventSet, long long *values)`: [`Papi::read`]'s values
+    /// written in add order into `out`, which must hold exactly one slot
+    /// per entry. Allocates nothing once the library's row buffer has
+    /// grown to the EventSet's size (after the first read).
+    pub fn read_into(&mut self, id: EventSetId, out: &mut [u64]) -> Result<(), PapiError> {
+        if out.len() != self.es(id)?.entries.len() {
+            return Err(PapiError::State("read array length mismatch"));
+        }
+        let mut slots = out.iter_mut();
+        self.read_entries(id, true, |_, v, _| {
+            if let Some(slot) = slots.next() {
+                *slot = v;
+            }
+        })
     }
 
     /// Like [`Papi::read`], but degrades instead of failing: entries whose
@@ -874,88 +869,83 @@ impl Papi {
     /// [`ReadQuality::Scaled`]. Only errors that leave no EventSet to read
     /// (bad id, never started) are returned as `Err`.
     pub fn read_with_quality(&mut self, id: EventSetId) -> Result<QualifiedValues, PapiError> {
-        let (by_fd, _failed) = self.read_groups(id)?;
-        let es = self.es(id)?;
-        let mut out = Vec::with_capacity(es.entries.len());
-        let mut worst = ReadQuality::Ok;
-        for entry in &es.entries {
-            let (total, q) = entry_value(es, entry, &by_fd, &self.wrap_base)?;
-            worst = worst.max(q);
-            out.push((entry.label.clone(), total, q));
-        }
-        if self.trace.enabled() {
-            let t = self.kernel.lock().time_ns();
-            let q = match worst {
-                ReadQuality::Ok => 0,
-                ReadQuality::Scaled => 1,
-                ReadQuality::Lost => 2,
-            };
-            self.trace.record(t, EventKind::PapiRead, id.0 as u32, q, 0);
-        }
+        let mut out = Vec::with_capacity(self.es(id)?.entries.len());
+        self.read_entries(id, false, |entry, v, q| {
+            out.push((entry.label.clone(), v, q))
+        })?;
         Ok(out)
     }
 
-    /// Read every group with transient-retry, collecting per-fd results.
-    /// Persistently failing groups are reported in the second return
-    /// slot; hard errors propagate.
-    fn read_groups(&mut self, id: EventSetId) -> Result<GroupReads, PapiError> {
-        let es = self.es(id)?;
+    /// The one read path behind [`Papi::read`], [`Papi::read_into`],
+    /// [`Papi::read_with_quality`] and [`Papi::accum`]: one
+    /// `read_group_into` per group leader, with transient retry, into the
+    /// reused `rows` buffer; then `emit(entry, value, quality)` once per
+    /// entry in add order (see [`entry_value`]). With `strict`, a group
+    /// that keeps failing past the retry budget fails the read before
+    /// anything is emitted (the last such group's error is returned);
+    /// without, its members come back `Lost`. Hard errors always fail.
+    fn read_entries(
+        &mut self,
+        id: EventSetId,
+        strict: bool,
+        mut emit: impl FnMut(&Entry, u64, ReadQuality),
+    ) -> Result<(), PapiError> {
+        let es = slot(&self.eventsets, id)?;
         if !es.opened() {
             return Err(PapiError::State("EventSet never started"));
         }
-        let leaders = es.group_leaders.clone();
-        let mut by_fd: HashMap<EventFd, ReadValue> = HashMap::new();
-        let mut failed = Vec::new();
-        let mut k = self.kernel.lock();
-        for leader in leaders {
-            match retry_transient(|| k.read_group(leader)) {
-                Ok(rvs) => {
-                    for rv in rvs {
-                        by_fd.insert(rv.fd, rv);
-                    }
+        self.rows.clear();
+        let mut failed = None;
+        {
+            let mut k = self.kernel.lock();
+            for &leader in &es.group_leaders {
+                match retry_transient(|| k.read_group_into(leader, &mut self.rows)) {
+                    Ok(()) => {}
+                    Err(e) if e.is_transient() => failed = Some(e),
+                    Err(e) => return Err(e.into()),
                 }
-                Err(e) if e.is_transient() => failed.push((leader, e)),
-                Err(e) => return Err(e.into()),
             }
         }
-        Ok((by_fd, failed))
+        if let (true, Some(e)) = (strict, failed) {
+            return Err(e.into());
+        }
+        let mut worst = ReadQuality::Ok;
+        for entry in &es.entries {
+            let (v, q) = entry_value(&es.natives, entry, &self.rows);
+            worst = worst.max(q);
+            emit(entry, v, q);
+        }
+        if self.trace.enabled() {
+            let t = self.kernel.lock().time_ns();
+            // Quality code 0/1/2 = Ok/Scaled/Lost; the strict path reports
+            // no quality, so it records Ok.
+            let q = if strict { 0 } else { worst as u64 };
+            self.trace.record(t, EventKind::PapiRead, id.0 as u32, q, 0);
+        }
+        Ok(())
     }
 
     /// `PAPI_reset`.
     pub fn reset(&mut self, id: EventSetId) -> Result<(), PapiError> {
-        let es = self.es(id)?;
-        let leaders = es.group_leaders.clone();
-        let core_fds: Vec<EventFd> = es
-            .natives
-            .iter()
-            .filter(|n| n.pmu_kind == PmuKind::CoreHw)
-            .filter_map(|n| n.fd)
-            .collect();
-        let mut bases = Vec::with_capacity(core_fds.len());
-        {
-            let mut k = self.kernel.lock();
-            for fd in leaders {
-                k.ioctl_reset(fd, true)?;
-            }
-            // Reset re-baselines the 48-bit unwrap state (see `start`).
-            for fd in core_fds {
-                let rv = retry_transient(|| k.read_event(fd))?;
-                bases.push((fd, rv.value));
-            }
+        let es = slot_mut(&mut self.eventsets, id)?;
+        let mut k = self.kernel.lock();
+        for &fd in &es.group_leaders {
+            k.ioctl_reset(fd, true)?;
         }
-        self.wrap_base.extend(bases);
-        Ok(())
+        rebase(&mut k, &mut es.natives)
     }
 
     /// `PAPI_accum`: add current values into `out` and reset the counters.
     pub fn accum(&mut self, id: EventSetId, out: &mut [u64]) -> Result<(), PapiError> {
-        let values = self.read(id)?;
-        if values.len() != out.len() {
+        if out.len() != self.es(id)?.entries.len() {
             return Err(PapiError::State("accum array length mismatch"));
         }
-        for (slot, (_, v)) in out.iter_mut().zip(values) {
-            *slot = slot.saturating_add(v);
-        }
+        let mut slots = out.iter_mut();
+        self.read_entries(id, true, |_, v, _| {
+            if let Some(slot) = slots.next() {
+                *slot = slot.saturating_add(v);
+            }
+        })?;
         self.reset(id)
     }
 
@@ -973,33 +963,22 @@ impl Papi {
         if !es.opened() {
             return Err(PapiError::State("EventSet never started"));
         }
-        let fds: Vec<EventFd> = es
+        let entry = es
             .entries
             .get(entry_idx)
-            .ok_or(PapiError::State("no such entry"))?
-            .native_indices
-            .iter()
-            .map(|&ni| {
-                es.natives[ni]
-                    .fd
-                    .ok_or(PapiError::State("event not opened"))
-            })
-            .collect::<Result<_, _>>()?;
+            .ok_or(PapiError::State("no such entry"))?;
         let mut total = 0u64;
-        {
-            let mut k = self.kernel.lock();
-            for &fd in &fds {
-                let page = k.mmap_userpage(fd)?;
-                let raw = match page.rdpmc() {
-                    Some(v) => v,
-                    // Not on a hardware counter: take the syscall.
-                    None => retry_transient(|| k.read_event(fd))?.value,
-                };
-                total += match self.wrap_base.get(&fd) {
-                    Some(base) => raw.wrapping_sub(*base) & COUNTER_MASK,
-                    None => raw,
-                };
-            }
+        let mut k = self.kernel.lock();
+        for &ni in &entry.native_indices {
+            let native = &es.natives[ni];
+            let fd = native.fd.ok_or(PapiError::State("event not opened"))?;
+            let page = k.mmap_userpage(fd)?;
+            let raw = match page.rdpmc() {
+                Some(v) => v,
+                // Not on a hardware counter: take the syscall.
+                None => retry_transient(|| k.read_event(fd))?.value,
+            };
+            total += native.since_base(raw);
         }
         Ok(total)
     }
@@ -1070,7 +1049,13 @@ impl Papi {
             let es = self.es_mut(id)?;
             es.group_leaders.clear();
             es.multiplex = true;
-            es.natives.iter_mut().filter_map(|n| n.fd.take()).collect()
+            es.natives
+                .iter_mut()
+                .filter_map(|n| {
+                    n.wrap_base = None;
+                    n.fd.take()
+                })
+                .collect()
         };
         {
             let mut k = self.kernel.lock();
@@ -1078,24 +1063,15 @@ impl Papi {
                 let _ = k.close_event(*fd);
             }
         }
-        for fd in &old_fds {
-            self.wrap_base.remove(fd);
-        }
         self.ensure_opened(id)
     }
 
     fn es(&self, id: EventSetId) -> Result<&EventSet, PapiError> {
-        self.eventsets
-            .get(id.0)
-            .and_then(|e| e.as_ref())
-            .ok_or(PapiError::NoSuchEventSet)
+        slot(&self.eventsets, id)
     }
 
     fn es_mut(&mut self, id: EventSetId) -> Result<&mut EventSet, PapiError> {
-        self.eventsets
-            .get_mut(id.0)
-            .and_then(|e| e.as_mut())
-            .ok_or(PapiError::NoSuchEventSet)
+        slot_mut(&mut self.eventsets, id)
     }
 
     // ---- instrumented (calipered) runs --------------------------------------

@@ -443,6 +443,17 @@ fn read_exact_persistent(
     Ok(ReadOutcome::Done)
 }
 
+/// Whether a read on `stream` would return without waiting: a byte is
+/// pending, the peer closed, or the socket has an error to report.
+fn readable(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return true;
+    }
+    let pending = stream.peek(&mut [0u8; 1]);
+    let _ = stream.set_nonblocking(false);
+    !matches!(pending, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock)
+}
+
 /// Client-side transport over a connected socket.
 pub struct TcpTransport {
     stream: TcpStream,
@@ -479,7 +490,13 @@ impl Transport for TcpTransport {
         }
     }
 
+    /// Returns at once when nothing is readable: a non-blocking peek
+    /// first, so an idle poll never waits out the socket read timeout.
+    /// Once a frame has started, `read_frame` reads all of it.
     fn try_recv(&mut self) -> Option<Vec<u8>> {
+        if !readable(&self.stream) {
+            return None;
+        }
         read_frame(&mut self.stream).unwrap_or_default()
     }
 

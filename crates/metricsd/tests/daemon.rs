@@ -357,6 +357,47 @@ fn tcp_end_to_end() {
     handle.join().unwrap();
 }
 
+/// An idle `try_take` over TCP returns at once instead of waiting out
+/// the transport's 20 ms socket read timeout, and still delivers a reply
+/// once one is pending.
+#[test]
+fn tcp_idle_try_take_returns_at_once() {
+    let daemon = Daemon::new(boot(None), DaemonConfig::default());
+    let listener = metricsd::tcp::Listener::spawn(daemon.connector(), "127.0.0.1:0").expect("bind");
+    let addr = listener.addr();
+    let (_connector, stop, handle) = background_daemon(daemon);
+
+    let mut c =
+        MetricsClient::new(metricsd::tcp::TcpTransport::connect(addr).expect("connect loopback"));
+    c.hello().expect("hello over tcp");
+    let t0 = std::time::Instant::now();
+    for _ in 0..10 {
+        assert!(c.try_take().expect("idle poll").is_none());
+    }
+    let idle = t0.elapsed();
+    assert!(
+        idle < Duration::from_millis(100),
+        "10 idle try_take calls took {idle:?} (20 ms each when blocking)"
+    );
+    c.post(&Request::Stats).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let reply = loop {
+        if let Some(r) = c.try_take().expect("poll") {
+            break r;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no reply to a posted request"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert!(matches!(reply, Response::Stats { .. }), "{reply:?}");
+    c.close().expect("close over tcp");
+
+    stop.store(true, Ordering::Relaxed);
+    handle.join().unwrap();
+}
+
 #[test]
 fn shard_count_does_not_change_served_counts() {
     // Mini in-test rerun of the loadgen invariant: identical kernels,

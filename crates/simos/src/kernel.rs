@@ -1095,9 +1095,7 @@ impl Kernel {
     pub fn ioctl_enable(&mut self, fd: EventFd, group: bool) -> Result<(), PerfError> {
         self.charge(LAT_IOCTL_NS);
         self.stats.ioctls += 1;
-        for f in self.group_fds(fd, group)? {
-            self.event_mut(f)?.enabled = true;
-        }
+        self.for_each_in_group(fd, group, |e| e.enabled = true)?;
         self.perf_gen += 1;
         Ok(())
     }
@@ -1106,9 +1104,7 @@ impl Kernel {
     pub fn ioctl_disable(&mut self, fd: EventFd, group: bool) -> Result<(), PerfError> {
         self.charge(LAT_IOCTL_NS);
         self.stats.ioctls += 1;
-        for f in self.group_fds(fd, group)? {
-            self.event_mut(f)?.enabled = false;
-        }
+        self.for_each_in_group(fd, group, |e| e.enabled = false)?;
         self.perf_gen += 1;
         Ok(())
     }
@@ -1117,22 +1113,31 @@ impl Kernel {
     pub fn ioctl_reset(&mut self, fd: EventFd, group: bool) -> Result<(), PerfError> {
         self.charge(LAT_IOCTL_NS);
         self.stats.ioctls += 1;
-        for f in self.group_fds(fd, group)? {
-            let e = self.event_mut(f)?;
+        self.for_each_in_group(fd, group, |e| {
             e.count = 0;
             e.sample_accum = 0;
-        }
-        Ok(())
+        })
     }
 
-    fn group_fds(&self, fd: EventFd, group: bool) -> Result<Vec<EventFd>, PerfError> {
-        let e = self.event(fd)?;
-        if group {
-            let leader = self.event(e.leader)?;
-            Ok(leader.group.clone())
-        } else {
-            Ok(vec![fd])
+    /// Apply `f` to `fd` alone, or with `group` to every member of the
+    /// group `fd` belongs to. Walks the leader's member list by index, so
+    /// an ioctl allocates nothing.
+    fn for_each_in_group(
+        &mut self,
+        fd: EventFd,
+        group: bool,
+        mut f: impl FnMut(&mut PerfEvent),
+    ) -> Result<(), PerfError> {
+        if !group {
+            f(self.event_mut(fd)?);
+            return Ok(());
         }
+        let leader = self.event(fd)?.leader;
+        for i in 0..self.event(leader)?.group.len() {
+            let member = self.event(leader)?.group[i];
+            f(self.event_mut(member)?);
+        }
+        Ok(())
     }
 
     /// `read(2)` on an event fd — carries syscall latency.
@@ -1146,20 +1151,40 @@ impl Kernel {
     }
 
     /// Group read (`PERF_FORMAT_GROUP`): one syscall returns every member.
+    /// A convenience wrapper over [`Kernel::read_group_into`].
     pub fn read_group(&mut self, fd: EventFd) -> Result<Vec<ReadValue>, PerfError> {
+        let mut out = Vec::new();
+        self.read_group_into(fd, &mut out)?;
+        Ok(out)
+    }
+
+    /// Group read into a caller-owned buffer: appends one row per member,
+    /// leader first, and allocates nothing once `out` has the capacity.
+    /// Same syscall charge, `reads` count and fault draw as
+    /// [`Kernel::read_group`]. On an error `out` is left as it was, so a
+    /// failed group leaves no partial rows behind.
+    pub fn read_group_into(
+        &mut self,
+        fd: EventFd,
+        out: &mut Vec<ReadValue>,
+    ) -> Result<(), PerfError> {
         self.charge(LAT_READ_NS);
         self.stats.reads += 1;
         if let Some(errno) = self.faults.as_mut().and_then(|f| f.take_read_failure()) {
             return Err(errno.to_perf_error());
         }
-        let leader_fd = self.event(fd)?.leader;
-        let leader = self.event(leader_fd)?;
-        leader
-            .group
-            .clone()
-            .into_iter()
-            .map(|f| self.event(f).map(|e| e.read_value()))
-            .collect()
+        let start = out.len();
+        let leader = self.event(self.event(fd)?.leader)?;
+        for &member in &leader.group {
+            match self.event(member) {
+                Ok(e) => out.push(e.read_value()),
+                Err(err) => {
+                    out.truncate(start);
+                    return Err(err);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// `rdpmc` fast path: read the counter from user space without a
@@ -1281,10 +1306,11 @@ impl Kernel {
     pub fn close_event(&mut self, fd: EventFd) -> Result<(), PerfError> {
         self.charge(LAT_CLOSE_NS);
         self.stats.closes += 1;
-        let fds = self.group_fds(fd, true)?;
-        let e = self.event(fd)?;
+        let e = self.event_mut(fd)?;
         if e.is_leader() {
-            for f in fds {
+            // The group dies with its leader: take the member list
+            // instead of copying it.
+            for f in std::mem::take(&mut e.group) {
                 self.events[f.0 as usize] = None;
             }
         } else {
@@ -2741,6 +2767,47 @@ mod tests {
         assert_eq!(vals[1].fd, member);
         assert_eq!(vals[0].value, 1_000_000);
         assert!(vals[1].value > 0);
+    }
+
+    #[test]
+    fn read_group_into_appends_and_leaves_no_rows_on_failure() {
+        use crate::faults::TransientErrno;
+        let mut k = raptor();
+        let pid = spawn_loop(&mut k, CpuMask::from_cpus([0]), 1_000_000);
+        let core = k.pmu_by_name("cpu_core").unwrap().id;
+        let attr = |ev| PerfAttr::counting(core, ev);
+        let leader = k
+            .perf_event_open(attr(ArchEvent::Instructions), Target::Thread(pid), None)
+            .unwrap();
+        k.perf_event_open(attr(ArchEvent::Cycles), Target::Thread(pid), Some(leader))
+            .unwrap();
+        k.ioctl_enable(leader, true).unwrap();
+        k.run_to_completion(1_000_000_000);
+        // Rows are appended after whatever the buffer already holds.
+        let mut buf = vec![k.read_event(leader).unwrap()];
+        k.read_group_into(leader, &mut buf).unwrap();
+        assert_eq!(buf[1..], k.read_group(leader).unwrap()[..]);
+        let rows = buf.clone();
+        // A failed read is charged like a successful one and leaves the
+        // buffer exactly as it was.
+        let reads = k.syscall_stats().reads;
+        k.install_faults(&FaultPlan::new(1).at(
+            0,
+            FaultKind::TransientRead {
+                errno: TransientErrno::Eintr,
+                count: 1,
+            },
+        ));
+        assert!(k
+            .read_group_into(leader, &mut buf)
+            .unwrap_err()
+            .is_transient());
+        assert_eq!(k.syscall_stats().reads, reads + 1);
+        assert_eq!(
+            k.read_group_into(EventFd(9_999), &mut buf),
+            Err(PerfError::BadFd)
+        );
+        assert_eq!(buf, rows);
     }
 
     #[test]

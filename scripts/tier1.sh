@@ -53,6 +53,12 @@ cargo build --offline --workspace --all-targets
 echo "== test (offline, full workspace) =="
 cargo test --offline --workspace
 
+echo "== stackbench output checks (the benchmark's own tests) =="
+# stackbench is a package with its own [workspace], so the workspace
+# test run above does not reach it; each of its tests trips one output
+# check on a perturbed value.
+cargo test --release --offline --manifest-path stackbench/Cargo.toml
+
 echo "== clippy (first-party, -D warnings) =="
 args=()
 for c in "${FIRST_PARTY[@]}"; do args+=(-p "$c"); done

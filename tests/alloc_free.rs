@@ -1,11 +1,12 @@
-//! The steady-state tick hot loop must not allocate.
+//! The steady-state tick hot loop and the PAPI read path must not
+//! allocate.
 //!
 //! A counting global allocator wraps `System`; after a warm-up (scratch
 //! buffers and scheduler queues grow to their working capacity), windows of
-//! pure compute ticks are measured. At least one window must be completely
-//! allocation-free — per-tick `vec![...]`/`clone()` churn would show up in
-//! *every* window. Runs single-threaded per test binary, so the count is
-//! attributable to the tick loop.
+//! pure compute ticks, or of PAPI calls, are measured. At least one window
+//! must be completely allocation-free — per-call `vec![...]`/`clone()`
+//! churn would show up in *every* window. The measuring tests hold one
+//! lock, so the count is attributable to the code under test.
 
 use simcpu::machine::MachineSpec;
 use simcpu::phase::Phase;
@@ -120,6 +121,80 @@ fn enabled_span_recording_is_allocation_free_after_construction() {
     assert_eq!(
         min_window, 0,
         "ring-buffer span recording allocated in every window"
+    );
+}
+
+/// The PAPI read path: on a started P-core + E-core + RAPL EventSet
+/// attached to a running task, `read_into`, `read_fast` and `reset`
+/// reuse the library's row buffer and walk the kernel's group lists in
+/// place, so they allocate nothing; `read` allocates exactly its
+/// returned `Values` — the vector plus one label per entry.
+#[test]
+fn steady_state_papi_reads_are_allocation_free() {
+    use papi::{Attach, Papi};
+    let _guard = MEASURE.lock().unwrap();
+    let kernel = Kernel::boot_handle(
+        MachineSpec::raptor_lake_i7_13700(),
+        KernelConfig {
+            exec_mode: ExecMode::Serial,
+            ..Default::default()
+        },
+    );
+    let pid = kernel.lock().spawn(
+        "app",
+        Box::new(|_: &simos::task::ProgCtx| Op::Compute(Phase::scalar(50_000_000))),
+        CpuMask::from_cpus([0]),
+        0,
+    );
+    let mut papi = Papi::init(kernel.clone()).unwrap();
+    let es = papi.create_eventset();
+    papi.attach(es, Attach::Task(pid)).unwrap();
+    for ev in [
+        "adl_glc::INST_RETIRED:ANY",
+        "adl_grt::INST_RETIRED:ANY",
+        "rapl::RAPL_ENERGY_PKG",
+    ] {
+        papi.add_named(es, ev).unwrap();
+    }
+    papi.start(es).unwrap();
+    assert_eq!(papi.num_groups(es).unwrap(), 3);
+    let entries = papi.num_events(es).unwrap();
+    let mut values = vec![0u64; entries];
+    // Warm-up: the row buffer grows to the EventSet's size.
+    for _ in 0..20 {
+        kernel.lock().tick();
+        papi.read_into(es, &mut values).unwrap();
+    }
+    assert!(
+        values[0] > 0 && values[2] > 0,
+        "task and package counted: {values:?}"
+    );
+    const CALLS: u64 = 100;
+    let mut quiet = u64::MAX;
+    let mut read = u64::MAX;
+    for _ in 0..5 {
+        kernel.lock().tick();
+        let before = ALLOCS.load(Ordering::Relaxed);
+        for _ in 0..CALLS {
+            papi.read_into(es, &mut values).unwrap();
+            for entry in 0..entries {
+                papi.read_fast(es, entry).unwrap();
+            }
+            papi.reset(es).unwrap();
+        }
+        let mid = ALLOCS.load(Ordering::Relaxed);
+        for _ in 0..CALLS {
+            drop(papi.read(es).unwrap());
+        }
+        let after = ALLOCS.load(Ordering::Relaxed);
+        quiet = quiet.min(mid - before);
+        read = read.min(after - mid);
+    }
+    assert_eq!(quiet, 0, "read_into/read_fast/reset allocated");
+    assert_eq!(
+        read,
+        CALLS * (1 + entries as u64),
+        "read must allocate its Values and nothing else"
     );
 }
 
