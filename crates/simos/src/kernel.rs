@@ -15,8 +15,8 @@
 
 use crate::faults::{FaultKind, FaultPlan, FaultRecord, FaultState, Undo};
 use crate::perf::{
-    schedule_groups_with, EventConfig, EventFd, GroupReq, PerfAttr, PerfError, PerfEvent, PmuDesc,
-    PmuKind, RaplConfig, ReadValue, Target, UncoreConfig,
+    group_fits, schedule_groups_with, EventConfig, EventFd, GroupReq, PerfAttr, PerfError,
+    PerfEvent, PmuDesc, PmuKind, RaplConfig, ReadValue, Target, UncoreConfig,
 };
 use crate::simsched::{HwView, KernelCtx, SchedCpu, SchedName, SchedPass, Scheduler};
 use crate::task::{
@@ -49,12 +49,15 @@ pub enum Firmware {
 /// Per-core work within a tick is independent until [`simcpu::Machine`]
 /// aggregates thermals/power/LLC in `end_tick`, so it can fan out across
 /// host threads. Results are reduced in fixed CPU order either way, so the
-/// two modes are bit-identical for any program whose behaviour does not
-/// depend on cross-thread timing (see DESIGN.md §7).
+/// two modes are bit-identical for programs that share no state with each
+/// other (see DESIGN.md §7). Programs that do — HPL's workers share one
+/// `Mutex`-guarded panel state — see their `next` calls in host-thread
+/// order under `Parallel`, so only `Serial` is deterministic for them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Pick at boot: serial unless both the host and the simulated
-    /// machine have enough CPUs for the fan-out to pay for itself.
+    /// The default: resolves to `Serial`. Parallel execution is opt-in:
+    /// it has not paid off on the hosts measured so far, and it is not
+    /// deterministic for programs with shared state.
     #[default]
     Auto,
     /// Execute CPUs one after another on the calling thread (reference
@@ -155,7 +158,8 @@ pub struct KernelConfig {
     /// miss profile / CPI / event vector from scratch every `advance` —
     /// the reference the cached path is tested bit-identical against.
     pub plan_cache: bool,
-    /// Quiescent-span coalescing policy for [`Kernel::tick_batch`].
+    /// Quiescent-span coalescing policy for [`Kernel::tick_batch`] and
+    /// [`Kernel::run_to_completion`] (`SIM_MACRO_TICKS`; default `auto`).
     pub macro_ticks: MacroTicks,
     /// Flight-recorder tracing (`SIM_TRACE` / `SIM_TRACE_CAP`; see
     /// `simtrace`). Off by default; timestamps are sim time, so enabling
@@ -173,15 +177,15 @@ impl Default for KernelConfig {
             firmware: Firmware::DeviceTree,
             exec_mode: ExecMode::Auto,
             plan_cache: true,
-            macro_ticks: MacroTicks::Auto,
+            macro_ticks: MacroTicks::from_env(),
             trace: TraceConfig::from_env(),
         }
     }
 }
 
 /// Reject reasons recorded in the `code` of a
-/// [`EventKind::MacroSpanReject`] event — why `tick_batch` declined to
-/// coalesce at this tick (DESIGN.md §10).
+/// [`EventKind::MacroSpanReject`] event — why a fast-forward declined to
+/// coalesce at this tick (DESIGN.md §9, §10).
 pub mod reject {
     /// `end_tick` moved an exec context (frequency/LLC/contention).
     pub const CTX_UNSTABLE: u32 = 1;
@@ -451,24 +455,11 @@ impl Kernel {
             })
             .collect();
         let pmus = Self::register_pmus(&machine, cfg.firmware);
-        let host_threads = || {
-            std::thread::available_parallelism()
-                .map(|v| v.get())
-                .unwrap_or(1)
-        };
         let exec_threads = match cfg.exec_mode {
-            ExecMode::Serial => 0,
-            // Auto: the fan-out only pays off with real host parallelism
-            // and enough simulated CPUs to amortise the thread scope.
-            ExecMode::Auto => {
-                let host = host_threads();
-                if host < 2 || n < 8 {
-                    0
-                } else {
-                    host
-                }
-            }
-            ExecMode::Parallel { threads: 0 } => host_threads(),
+            ExecMode::Auto | ExecMode::Serial => 0,
+            ExecMode::Parallel { threads: 0 } => std::thread::available_parallelism()
+                .map(|v| v.get())
+                .unwrap_or(1),
             ExecMode::Parallel { threads } => threads,
         };
         let sched_max_khz: Vec<u64> = machine
@@ -1242,25 +1233,19 @@ impl Kernel {
         let Some(arch) = pmu.uarch else {
             return Ok(false);
         };
-        let req = GroupReq {
-            leader: ev.fd,
-            events: ev
-                .group
-                .iter()
-                .filter_map(|f| self.events[f.0 as usize].as_ref())
-                .filter_map(|e| match e.attr.config {
-                    EventConfig::Hw(a) => Some(a),
-                    _ => None,
-                })
-                .collect(),
-            pinned: false,
-        };
-        let stolen: Vec<ArchEvent> = self
+        let events = ev
+            .group
+            .iter()
+            .filter_map(|f| self.events[f.0 as usize].as_ref())
+            .filter_map(|e| match e.attr.config {
+                EventConfig::Hw(a) => Some(a),
+                _ => None,
+            });
+        let stolen = self
             .faults
             .as_ref()
-            .map(|f| f.watchdog_stolen.clone())
-            .unwrap_or_default();
-        Ok(schedule_groups_with(arch.params(), &[req], &stolen)[0])
+            .map_or(&[][..], |f| f.watchdog_stolen.as_slice());
+        Ok(group_fits(arch.params(), events, stolen))
     }
 
     /// Snapshot the event's mmap'd userpage (`perf_event_mmap_page`): the
@@ -1455,33 +1440,45 @@ impl Kernel {
         while left > 0 {
             self.tick();
             left -= 1;
-            if left == 0 || self.cfg.macro_ticks == MacroTicks::Off {
-                continue;
+            left -= self.fast_forward(left);
+        }
+    }
+
+    /// Replay up to `max` ticks over the quiescent span that starts now,
+    /// if the last real tick left one; returns how many were replayed.
+    /// Inside a replayed span no task changes state (every task is
+    /// Running in place with phase headroom), no hook fires and no fault
+    /// comes due, so callers may check their stop conditions only after
+    /// real ticks.
+    fn fast_forward(&mut self, max: u64) -> u64 {
+        if max == 0 || self.cfg.macro_ticks == MacroTicks::Off {
+            return 0;
+        }
+        let span = match self.quiescent_span(max) {
+            Ok(span) => {
+                self.trace
+                    .record(self.time_ns, EventKind::MacroSpanAdmit, 0, span, 0);
+                span
             }
-            let span = match self.quiescent_span(left) {
-                Ok(span) => {
-                    self.trace
-                        .record(self.time_ns, EventKind::MacroSpanAdmit, 0, span, 0);
-                    span
-                }
-                Err(reason) => {
-                    self.trace
-                        .record(self.time_ns, EventKind::MacroSpanReject, reason, 0, 0);
-                    continue;
-                }
-            };
-            for _ in 0..span {
-                let ctx_stable = self.replay_tick();
-                left -= 1;
-                if !ctx_stable {
-                    // end_tick moved a frequency / LLC share / contention
-                    // figure: the tick just replayed is still exact (a new
-                    // context applies from the *next* tick), but the
-                    // templates are stale from here on.
-                    break;
-                }
+            Err(reason) => {
+                self.trace
+                    .record(self.time_ns, EventKind::MacroSpanReject, reason, 0, 0);
+                return 0;
+            }
+        };
+        let mut replayed = 0;
+        while replayed < span {
+            let ctx_stable = self.replay_tick();
+            replayed += 1;
+            if !ctx_stable {
+                // end_tick moved a frequency / LLC share / contention
+                // figure: the tick just replayed is still exact (a new
+                // context applies from the *next* tick), but the
+                // templates are stale from here on.
+                break;
             }
         }
+        replayed
     }
 
     /// How many ticks past the current one may be fast-forwarded by
@@ -2103,6 +2100,10 @@ impl Kernel {
 
     /// Tick until every task has exited or `max_ns` elapses. Panics if
     /// an instrumentation hook fires (use [`run_with_hooks`]).
+    ///
+    /// Quiescent spans are fast-forwarded (see [`Kernel::tick_batch`]),
+    /// never past the deadline; no task can exit and no hook can fire
+    /// inside one, so the run stops on the same tick either way.
     pub fn run_to_completion(&mut self, max_ns: Nanos) {
         let deadline = self.time_ns + max_ns;
         while !self.all_exited() && self.time_ns < deadline {
@@ -2111,6 +2112,10 @@ impl Kernel {
                 self.pending_hooks.is_empty(),
                 "instrumentation hook fired without a handler; use run_with_hooks"
             );
+            if self.all_exited() || self.time_ns >= deadline {
+                break;
+            }
+            self.fast_forward((deadline - self.time_ns).div_ceil(self.cfg.tick_ns));
         }
     }
 
@@ -3620,6 +3625,22 @@ mod tests {
         assert_eq!(ExecMode::parse("parallel:"), None);
     }
 
+    /// `Auto` resolves to serial execution even on a machine and host big
+    /// enough for the fan-out; parallel execution is opt-in.
+    #[test]
+    fn exec_mode_auto_resolves_to_serial() {
+        let boot = |exec_mode| {
+            let cfg = KernelConfig {
+                exec_mode,
+                ..Default::default()
+            };
+            Kernel::boot(MachineSpec::raptor_lake_i7_13700(), cfg).exec_threads
+        };
+        assert_eq!(boot(ExecMode::Auto), 0);
+        assert_eq!(boot(ExecMode::Serial), 0);
+        assert_eq!(boot(ExecMode::Parallel { threads: 3 }), 3);
+    }
+
     #[test]
     fn macro_ticks_parses() {
         assert_eq!(MacroTicks::parse("off"), Some(MacroTicks::Off));
@@ -3629,6 +3650,41 @@ mod tests {
         assert_eq!(MacroTicks::parse(" force "), Some(MacroTicks::Force));
         assert_eq!(MacroTicks::parse("Force"), None);
         assert_eq!(MacroTicks::parse(""), None);
+    }
+
+    /// `KernelConfig::default()` reads `SIM_MACRO_TICKS`, like `SIM_SCHED`.
+    /// The variable is set only for child runs of this one test, so no
+    /// other test in this process sees it.
+    #[test]
+    fn default_config_reads_sim_macro_ticks() {
+        const NAME: &str = "kernel::tests::default_config_reads_sim_macro_ticks";
+        if let Ok(v) = std::env::var("SIM_MACRO_TICKS") {
+            assert_eq!(
+                Some(KernelConfig::default().macro_ticks),
+                MacroTicks::parse(&v)
+            );
+            return;
+        }
+        assert_eq!(KernelConfig::default().macro_ticks, MacroTicks::Auto);
+        let child = |value: &str| {
+            std::process::Command::new(std::env::current_exe().unwrap())
+                .args([NAME, "--exact", "--test-threads=1", "--nocapture"])
+                .env("SIM_MACRO_TICKS", value)
+                .output()
+                .unwrap()
+        };
+        for value in ["off", "force", " auto "] {
+            let out = child(value);
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(out.status.success(), "SIM_MACRO_TICKS={value:?}: {out:?}");
+            assert!(
+                stdout.contains("1 passed"),
+                "{value:?} ran no test: {stdout}"
+            );
+        }
+        let out = child("on");
+        assert!(!out.status.success(), "an unknown value must panic");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("SIM_MACRO_TICKS: unknown value"));
     }
 
     /// `SIM_SCHED` follows the same strict-parse contract as

@@ -425,38 +425,71 @@ pub fn schedule_groups_with(
     groups: &[GroupReq],
     stolen_fixed: &[ArchEvent],
 ) -> Vec<bool> {
-    let mut fixed_used: Vec<bool> = uarch
+    let mut fixed_used = stolen_mask(uarch, stolen_fixed);
+    let mut gp_free = uarch.n_gp_counters;
+    groups
+        .iter()
+        .map(|g| {
+            claim(
+                uarch,
+                g.events.iter().copied(),
+                &mut fixed_used,
+                &mut gp_free,
+            )
+        })
+        .collect()
+}
+
+/// [`schedule_groups_with`] for a single group on an otherwise idle PMU,
+/// reading its events from an iterator instead of a [`GroupReq`], so the
+/// check allocates nothing.
+pub fn group_fits(
+    uarch: &UarchParams,
+    events: impl IntoIterator<Item = ArchEvent>,
+    stolen_fixed: &[ArchEvent],
+) -> bool {
+    let mut fixed_used = stolen_mask(uarch, stolen_fixed);
+    let mut gp_free = uarch.n_gp_counters;
+    claim(uarch, events, &mut fixed_used, &mut gp_free)
+}
+
+/// Bit `i` set: fixed counter `i` is held by the kernel.
+fn stolen_mask(uarch: &UarchParams, stolen_fixed: &[ArchEvent]) -> u64 {
+    debug_assert!(uarch.fixed_counters.len() <= 64);
+    uarch
         .fixed_counters
         .iter()
-        .map(|f| stolen_fixed.contains(f))
-        .collect();
-    let mut gp_free = uarch.n_gp_counters;
-    let mut out = Vec::with_capacity(groups.len());
-    for g in groups {
-        // Tentatively allocate.
-        let mut fixed_try = fixed_used.clone();
-        let mut gp_need = 0usize;
-        let mut ok = true;
-        for &ev in &g.events {
-            if !uarch.supports_event(ev) {
-                ok = false;
-                break;
-            }
-            let fixed_idx = uarch.fixed_counters.iter().position(|&f| f == ev);
-            match fixed_idx {
-                Some(i) if !fixed_try[i] => fixed_try[i] = true,
-                _ => gp_need += 1,
-            }
+        .enumerate()
+        .filter(|(_, f)| stolen_fixed.contains(f))
+        .fold(0, |m, (i, _)| m | 1 << i)
+}
+
+/// Allocate counters for one group: all of its members or none. Each
+/// event takes its fixed counter if that is still free, else a general
+/// counter.
+fn claim(
+    uarch: &UarchParams,
+    events: impl IntoIterator<Item = ArchEvent>,
+    fixed_used: &mut u64,
+    gp_free: &mut usize,
+) -> bool {
+    let mut fixed_try = *fixed_used;
+    let mut gp_need = 0usize;
+    for ev in events {
+        if !uarch.supports_event(ev) {
+            return false;
         }
-        if ok && gp_need <= gp_free {
-            fixed_used = fixed_try;
-            gp_free -= gp_need;
-            out.push(true);
-        } else {
-            out.push(false);
+        match uarch.fixed_counters.iter().position(|&f| f == ev) {
+            Some(i) if fixed_try & 1 << i == 0 => fixed_try |= 1 << i,
+            _ => gp_need += 1,
         }
     }
-    out
+    if gp_need > *gp_free {
+        return false;
+    }
+    *fixed_used = fixed_try;
+    *gp_free -= gp_need;
+    true
 }
 
 #[cfg(test)]

@@ -65,9 +65,7 @@ pub fn settle(kernel: &KernelHandle, temp_c: f64, fast: bool) {
         if k.machine().thermal().temp_c() <= temp_c {
             return;
         }
-        for _ in 0..1024 {
-            k.tick();
-        }
+        k.tick_batch(1024);
     }
 }
 
@@ -86,10 +84,11 @@ pub fn monitored_hpl_run(
     let mut poller = Poller::new(kernel.clone(), driver.poll_interval_ns);
     let deadline = t0 + driver.max_run_ns;
     // Batch ticks per lock acquisition, but never so coarsely that the
-    // poller undersamples its interval.
+    // poller undersamples its interval. Quiescent spans inside a batch
+    // are fast-forwarded (`Kernel::tick_batch`).
     let batch = {
         let tick = kernel.lock().config().tick_ns.max(1);
-        ((driver.poll_interval_ns / tick / 4).max(1) as usize).min(256)
+        (driver.poll_interval_ns / tick / 4).clamp(1, 256)
     };
     loop {
         {
@@ -97,9 +96,7 @@ pub fn monitored_hpl_run(
             if k.time_ns() >= deadline {
                 break;
             }
-            for _ in 0..batch {
-                k.tick();
-            }
+            k.tick_batch(batch);
         }
         poller.poll();
         if run.finished() {

@@ -98,6 +98,24 @@ echo "== trace smoke (400-tick traced raptor run, validated chrome JSON) =="
 # per-CPU tracks plus fault and macro-tick span events present.
 cargo run --offline --release -p bench-harness --bin tickbench -- --trace-smoke
 
+echo "== macro-ticks off == auto on paper binaries (table2, fig3) =="
+# The paper-regeneration drivers fast-forward quiescent spans; the
+# single-tick reference (SIM_MACRO_TICKS=off) must print byte-identical
+# tables and CSVs. Both runs use the default ExecMode (serial), and each
+# runs in a scratch directory so the committed results/ stay untouched.
+macro_out=$(mktemp -d)
+repo=$PWD
+for mode in off auto; do
+    mkdir "$macro_out/$mode"
+    for bin in table2 fig3; do
+        (cd "$macro_out/$mode" && SIM_MACRO_TICKS=$mode cargo run --offline --release \
+            --quiet --manifest-path "$repo/Cargo.toml" -p bench-harness --bin "$bin" \
+            > "$bin.txt")
+    done
+done
+diff -r "$macro_out/off" "$macro_out/auto"
+rm -rf "$macro_out"
+
 echo "== metricsd load smoke (quick, emits BENCH_metricsd.json) =="
 # Hard gates inside: counter digests bit-identical across 1/4/8 worker
 # shards AND vs a serial single-client reference; the deliberately slow

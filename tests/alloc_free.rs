@@ -43,8 +43,8 @@ static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[test]
 fn steady_state_tick_is_allocation_free() {
-    // Serial explicitly: `ExecMode::Auto` may pick the parallel path on a
-    // multicore host, and `thread::scope` allocates per tick by design.
+    // Serial explicitly: the guarantee is the serial path's, while the
+    // opt-in parallel path's `thread::scope` allocates per tick by design.
     measure_steady_state(KernelConfig {
         exec_mode: ExecMode::Serial,
         ..Default::default()
@@ -128,7 +128,9 @@ fn enabled_span_recording_is_allocation_free_after_construction() {
 /// attached to a running task, `read_into`, `read_fast` and `reset`
 /// reuse the library's row buffer and walk the kernel's group lists in
 /// place, so they allocate nothing; `read` allocates exactly its
-/// returned `Values` — the vector plus one label per entry.
+/// returned `Values` — the vector plus one label per entry — and so does
+/// a `stop`+`start` round, whose start checks each group's counter fit
+/// in place.
 #[test]
 fn steady_state_papi_reads_are_allocation_free() {
     use papi::{Attach, Papi};
@@ -172,6 +174,7 @@ fn steady_state_papi_reads_are_allocation_free() {
     const CALLS: u64 = 100;
     let mut quiet = u64::MAX;
     let mut read = u64::MAX;
+    let mut restart = u64::MAX;
     for _ in 0..5 {
         kernel.lock().tick();
         let before = ALLOCS.load(Ordering::Relaxed);
@@ -186,15 +189,26 @@ fn steady_state_papi_reads_are_allocation_free() {
         for _ in 0..CALLS {
             drop(papi.read(es).unwrap());
         }
+        let after_read = ALLOCS.load(Ordering::Relaxed);
+        for _ in 0..CALLS {
+            drop(papi.stop(es).unwrap());
+            papi.start(es).unwrap();
+        }
         let after = ALLOCS.load(Ordering::Relaxed);
         quiet = quiet.min(mid - before);
-        read = read.min(after - mid);
+        read = read.min(after_read - mid);
+        restart = restart.min(after - after_read);
     }
     assert_eq!(quiet, 0, "read_into/read_fast/reset allocated");
     assert_eq!(
         read,
         CALLS * (1 + entries as u64),
         "read must allocate its Values and nothing else"
+    );
+    assert_eq!(
+        restart,
+        CALLS * (1 + entries as u64),
+        "stop+start must allocate stop's Values and nothing else"
     );
 }
 
